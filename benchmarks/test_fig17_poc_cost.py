@@ -116,7 +116,7 @@ def test_fig17_live_negotiation_costs(benchmark, emit):
     )
     emit(
         "fig17_live_costs",
-        f"live negotiation (RSA-1024, this host): "
+        f"live negotiation (RSA-1024, this host, {measured.backend}): "
         f"{measured.negotiation_ms_mean:.2f} ms\n"
         f"live verification: {measured.verification_ms_mean:.3f} ms "
         f"-> {measured.verifications_per_hour:,.0f} PoCs/hour\n"

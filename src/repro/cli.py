@@ -281,7 +281,7 @@ def _fig17(fast: bool) -> str:
         f"{modelled_verifier_throughput_per_hour():,.0f}/hr",
         f"live verification on this host: "
         f"{live.verification_ms_mean:.3f} ms "
-        f"({live.verifications_per_hour:,.0f}/hr)",
+        f"({live.verifications_per_hour:,.0f}/hr, {live.backend})",
     ]
     return "\n".join(lines)
 

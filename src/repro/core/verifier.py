@@ -17,7 +17,7 @@ ever seeing the data transfer — that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.charging.policy import charged_volume
 from repro.core.messages import MessageError, ProofOfCharging, TlcCdr
@@ -26,6 +26,7 @@ from repro.core.strategies import Role
 from repro.crypto.keys import PublicKey
 from repro.crypto.merkle import BatchSignature, verify_batch
 from repro.crypto.signing import cached_verify
+from repro.crypto.signing import verify as rsa_verify
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,9 @@ class PublicVerifier:
         batch: BatchSignature,
         signer_key: PublicKey,
         plan: DataPlan,
+        verify_signature: Callable[
+            [PublicKey, bytes, bytes], bool
+        ] = rsa_verify,
     ) -> VerificationResult:
         """Verify a Merkle-batched stream of one party's CDR claims.
 
@@ -203,7 +207,8 @@ class PublicVerifier:
         (:func:`repro.core.protocol.sign_cdr_batch`), and this check
         costs one RSA public op plus N SHA-256 leaf recomputations.
         The per-CDR plan-consistency checks (Algorithm 2 lines 2-4)
-        still run individually.
+        still run individually.  ``verify_signature`` is the root's RSA
+        check, as in :func:`repro.crypto.merkle.verify_batch`.
         """
         if not cdrs:
             return VerificationResult(False, "empty CDR batch")
@@ -213,7 +218,7 @@ class PublicVerifier:
                 False, "CDR batch mixes parties; one signer per batch"
             )
         payloads = [cdr.payload_bytes() for cdr in cdrs]
-        if not verify_batch(signer_key, payloads, batch):
+        if not verify_batch(signer_key, payloads, batch, verify_signature):
             return VerificationResult(False, "invalid batch signature")
         for cdr in cdrs:
             if (cdr.cycle_start, cdr.cycle_end) != plan.cycle.key() or abs(

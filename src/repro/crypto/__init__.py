@@ -1,9 +1,13 @@
 """Cryptographic substrate for Proof-of-Charging.
 
 The paper signs CDR/CDA/PoC messages with RSA-1024 via ``java.security``.
-No crypto library is assumed here, so this package implements the whole
-stack from scratch:
+This package implements that stack itself — keys, padding, Merkle
+batches and every verification rule.  Only the big-number modular
+exponentiation runs in native code: OpenSSL's libcrypto, the one
+CPython's ``_hashlib`` already links, with ``pow`` as the bit-identical
+fallback.
 
+- :mod:`repro.crypto.bignum` — modular exponentiation (libcrypto or ``pow``),
 - :mod:`repro.crypto.primes` — Miller–Rabin primality and prime generation,
 - :mod:`repro.crypto.rsa` — key generation and the raw RSA permutation,
 - :mod:`repro.crypto.signing` — PKCS#1 v1.5 signatures over SHA-256,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.signing import sign, verify
@@ -114,15 +114,19 @@ def verify_batch(
     key: PublicKey,
     payloads: Sequence[bytes],
     batch: BatchSignature,
+    verify_signature: Callable[[PublicKey, bytes, bytes], bool] = verify,
 ) -> bool:
     """Check every payload against a batch signature.
 
     Recomputes the root from the payloads (N hashes) and verifies the
     single RSA signature over it: the whole batch costs one public-key
-    operation instead of N.
+    operation instead of N.  ``verify_signature(key, root, signature)``
+    is that last check; a caller that remembers verified signatures
+    passes its own, which may skip only the RSA op, never the root
+    recomputation.
     """
     if len(payloads) != batch.count:
         return False
     if merkle_root(payloads) != batch.root:
         return False
-    return verify(key, batch.root, batch.signature)
+    return verify_signature(key, batch.root, batch.signature)

@@ -3,12 +3,16 @@
 Miller–Rabin with a deterministic witness set for small inputs and random
 witnesses (from a caller-supplied ``random.Random``) for large ones.  The
 probabilistic error after 40 rounds is below 2**-80, far beyond what the
-charging simulation needs.
+charging simulation needs.  Each round's exponentiation runs in
+:func:`repro.crypto.bignum.modexp`, constant-time because the candidate
+may become a secret prime.
 """
 
 from __future__ import annotations
 
 import random
+
+from repro.crypto.bignum import modexp
 
 # Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10**24.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -23,7 +27,7 @@ _SMALL_PRIMES = (
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """One Miller-Rabin round; True means 'probably prime' for witness a."""
-    x = pow(a, d, n)
+    x = modexp(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):

@@ -1,9 +1,12 @@
-"""RSA key generation and the raw modular-exponentiation primitives.
+"""RSA key generation and the raw RSA permutation.
 
 The TLC paper uses RSA-1024; key size is a parameter here so the Figure 17
 ablation can sweep it.  Signing uses the Chinese Remainder Theorem for the
 usual ~4x speedup, which matters when the verifier benchmark pushes through
-hundreds of thousands of PoCs.
+hundreds of thousands of PoCs.  Keys and the CRT recombination live here;
+each modular exponentiation runs in :func:`repro.crypto.bignum.modexp`
+(libcrypto when bound, ``pow`` otherwise), constant-time for the secret
+CRT halves.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from repro.crypto.bignum import modexp
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 from repro.crypto.primes import generate_prime
 
@@ -97,8 +101,8 @@ def rsa_private_op(key: PrivateKey, message: int) -> int:
     if not 0 <= message < key.n:
         raise ValueError("message representative out of range [0, n)")
     dp, dq, q_inv = _crt_params(key)
-    m1 = pow(message, dp, key.p)
-    m2 = pow(message, dq, key.q)
+    m1 = modexp(message, dp, key.p)
+    m2 = modexp(message, dq, key.q)
     h = (q_inv * (m1 - m2)) % key.p
     return m2 + h * key.q
 
@@ -107,4 +111,4 @@ def rsa_public_op(key: PublicKey, signature: int) -> int:
     """Apply the public-key permutation ``s^e mod n``."""
     if not 0 <= signature < key.n:
         raise ValueError("signature representative out of range [0, n)")
-    return pow(signature, key.e, key.n)
+    return modexp(signature, key.e, key.n, secret=False)

@@ -10,9 +10,10 @@ Three parts:
    this host is not a Pixel 2 XL, so per-device latency comes from a
    calibrated cost model: crypto time from the device profile plus the
    device's LTE round trip (the paper's 54.9% / 45.1% split), with
-   measured jitter shapes.  The *real* Python signing/verification cost
-   on this host is measured too (the Z840-equivalent row and the
-   verification-throughput claim).
+   measured jitter shapes.  The *real* signing/verification cost on
+   this host is measured too (the Z840-equivalent row and the
+   verification-throughput claim), tagged with the exponentiation
+   backend that ran it.
 3. **Verifier throughput** — PoCs/hour a single host can verify, both
    modelled (paper: 230K/hr on a Z840) and measured live.
 """
@@ -36,6 +37,7 @@ from repro.core.records import UsageView
 from repro.core.strategies import OptimalStrategy, Role
 from repro.core.verifier import PublicVerifier
 from repro.charging.cdr import BINARY_CDR_SIZE
+from repro.crypto.bignum import backend
 from repro.crypto.keys import KeyPair
 from repro.crypto.nonces import NonceFactory
 from repro.crypto.rsa import generate_keypair
@@ -135,6 +137,9 @@ class MeasuredPocCost:
     verification_ms_mean: float
     verifications_per_hour: float
     poc_bytes: int
+    #: The modular-exponentiation path that ran
+    #: (:func:`repro.crypto.bignum.backend`).
+    backend: str
 
 
 def _build_agents(
@@ -204,4 +209,5 @@ def measure_live_poc_costs(
         verification_ms_mean=verify_mean * 1e3,
         verifications_per_hour=3600.0 / verify_mean,
         poc_bytes=len(poc.to_bytes()),
+        backend=backend(),
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.crypto.bignum import backend
 from repro.service.config import ServiceConfig
 from repro.service.core import ChargingCore, replay_settlements
 from repro.service.events import (
@@ -273,6 +274,7 @@ class ChargingService:
                 "sign_ops": self.core.sign_ops,
             },
             "verifier": self.verifier.stats(),
+            "crypto": {"backend": backend()},
             "degraded": self.degraded.as_dict(),
             "settlements": len(self._settlements),
             "accounting": table.as_dict(),

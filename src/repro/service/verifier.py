@@ -9,7 +9,9 @@ batches — and verifies it as it arrives, cheaply enough to run inline:
 - Merkle batches cost one RSA public op each, and even that op is
   amortized by :class:`VerificationCache`, an LRU keyed by **batch
   root** — re-presenting an already-verified batch (a query, an audit
-  re-check, a redelivery) is a dictionary hit, not an RSA op;
+  re-check, a redelivery) skips the RSA op when its signature is the
+  one that verified under that root.  Every other check (root
+  recomputation, one signer, plan consistency) runs on every accept;
 - Merkle inclusion proofs for single-CDR queries are built lazily and
   cached under the same root key.
 
@@ -30,11 +32,11 @@ from repro.core.plan import DataPlan
 from repro.core.verifier import PublicVerifier, VerificationResult
 from repro.crypto.keys import PublicKey
 from repro.crypto.merkle import (
-    BatchSignature,
     merkle_proof,
     verify_batch,
     verify_merkle_proof,
 )
+from repro.crypto.signing import verify
 from repro.service.core import (
     SealedClaimBatch,
     SealedRecordBatch,
@@ -43,36 +45,42 @@ from repro.service.core import (
 
 
 class VerificationCache:
-    """LRU verdict cache keyed by Merkle batch root."""
+    """LRU of the signature that verified under each Merkle batch root.
+
+    Only signatures that passed the RSA check are stored, so a hit is
+    proof that the presented ``(root, signature)`` pair is valid under
+    the one key its owner verifies with — and nothing more: the caller
+    still has to show that the presented payloads hash to ``root``.
+    """
 
     def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise ValueError(f"cache bound must be >= 1: {max_entries}")
         self.max_entries = max_entries
-        self._verdicts: OrderedDict[bytes, bool] = OrderedDict()
+        self._signatures: OrderedDict[bytes, bytes] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, root: bytes) -> bool | None:
-        verdict = self._verdicts.get(root)
-        if verdict is None:
+    def contains(self, root: bytes, signature: bytes) -> bool:
+        """True iff ``signature`` is the one that verified under ``root``."""
+        if self._signatures.get(root) != signature:
             self.misses += 1
-            return None
-        self._verdicts.move_to_end(root)
+            return False
+        self._signatures.move_to_end(root)
         self.hits += 1
-        return verdict
+        return True
 
-    def put(self, root: bytes, verdict: bool) -> None:
-        self._verdicts[root] = verdict
-        self._verdicts.move_to_end(root)
-        if len(self._verdicts) > self.max_entries:
-            self._verdicts.popitem(last=False)
+    def put(self, root: bytes, signature: bytes) -> None:
+        self._signatures[root] = signature
+        self._signatures.move_to_end(root)
+        if len(self._signatures) > self.max_entries:
+            self._signatures.popitem(last=False)
             self.evictions += 1
 
     def stats(self) -> dict[str, int]:
         return {
-            "entries": len(self._verdicts),
+            "entries": len(self._signatures),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -199,30 +207,37 @@ class VerifierService:
             self.pocs_rejected += 1
         return result
 
+    def _verify_root(
+        self, key: PublicKey, root: bytes, signature: bytes
+    ) -> bool:
+        """The batch root's RSA check, skipped for a signature that
+        already verified under that root.
+
+        The batch paths call this only after the payloads hashed to
+        ``root``, and always with :attr:`operator_key`, the key every
+        cached signature verified under.
+        """
+        if self.cache.contains(root, signature):
+            return True
+        self.public_key_ops += 1
+        if not verify(key, root, signature):
+            return False
+        self.cache.put(root, signature)
+        return True
+
     def accept_claim_batch(
         self, sealed: SealedClaimBatch
     ) -> VerificationResult:
         """One RSA op (cached by root) for a whole multi-session batch."""
-        cached = self.cache.get(sealed.batch.root)
-        if cached is None:
-            plan = DataPlan(
-                cycle=sealed.cycle, loss_weight=self.loss_weight
-            )
-            result = self._poc_verifier.verify_cdr_batch(
-                list(sealed.claims),
-                sealed.batch,
-                self.operator_key,
-                plan,
-            )
-            self.public_key_ops += 1
-            self.cache.put(sealed.batch.root, result.ok)
-            ok = result.ok
-        else:
-            result = VerificationResult(
-                cached, "" if cached else "cached rejection"
-            )
-            ok = cached
-        if ok:
+        plan = DataPlan(cycle=sealed.cycle, loss_weight=self.loss_weight)
+        result = self._poc_verifier.verify_cdr_batch(
+            list(sealed.claims),
+            sealed.batch,
+            self.operator_key,
+            plan,
+            self._verify_root,
+        )
+        if result.ok:
             self.claim_batches_verified += 1
             self.claims_verified += sealed.batch.count
             self._attested_cycles.add(sealed.cycle.index)
@@ -235,14 +250,9 @@ class VerifierService:
     ) -> VerificationResult:
         """Verify a gateway-CDR batch and index it for queries."""
         payloads = [record.to_bytes() for record in sealed.records]
-        cached = self.cache.get(sealed.batch.root)
-        if cached is None:
-            ok = verify_batch(self.operator_key, payloads, sealed.batch)
-            self.public_key_ops += 1
-            self.cache.put(sealed.batch.root, ok)
-        else:
-            ok = cached
-        if not ok:
+        if not verify_batch(
+            self.operator_key, payloads, sealed.batch, self._verify_root
+        ):
             self.batches_rejected += 1
             return VerificationResult(False, "invalid CDR batch signature")
         self.record_batches_verified += 1

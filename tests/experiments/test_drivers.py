@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.bignum import backend
 from repro.experiments.cdr_error import record_error_samples
 from repro.experiments.congestion import run_congestion_point
 from repro.experiments.intermittent import (
@@ -172,6 +173,7 @@ class TestPocCostDriver:
     def test_live_negotiation_and_verification(self):
         measured = measure_live_poc_costs(iterations=3)
         assert measured.poc_bytes == 796
+        assert measured.backend == backend()
         assert measured.verification_ms_mean > 0
         assert measured.verifications_per_hour > 100_000
 

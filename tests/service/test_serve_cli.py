@@ -8,6 +8,7 @@ import sys
 import time
 
 from repro.cli import main
+from repro.crypto.bignum import backend
 
 
 REPO_SRC = os.path.join(
@@ -53,6 +54,8 @@ class TestServeCommand:
         assert snapshot["ingest"]["accepted_events"] == 12
         assert snapshot["attestation"]["claims_attested"] >= 1
         assert snapshot["settlements"] >= 2
+        # No silent fallback: the run names its exponentiation path.
+        assert snapshot["crypto"]["backend"] == backend()
 
     def test_serve_without_metrics_out_still_reports(self, capsys):
         assert main(["serve", "--sessions", "1", "--events", "3"]) == 0

@@ -9,6 +9,7 @@ from repro.crypto.rsa import keypair_for_seed
 from repro.service import (
     ChargingCore,
     SealedClaimBatch,
+    SealedRecordBatch,
     ServiceConfig,
     SessionSpec,
     UsageEvent,
@@ -65,17 +66,24 @@ def feed(core, verifier):
 class TestVerificationCache:
     def test_lru_eviction_and_counters(self):
         cache = VerificationCache(max_entries=2)
-        cache.put(b"a", True)
-        cache.put(b"b", True)
-        assert cache.get(b"a") is True  # refresh a
-        cache.put(b"c", False)  # evicts b
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is True
-        assert cache.get(b"c") is False
+        cache.put(b"a", b"sig-a")
+        cache.put(b"b", b"sig-b")
+        assert cache.contains(b"a", b"sig-a")  # refresh a
+        cache.put(b"c", b"sig-c")  # evicts b
+        assert not cache.contains(b"b", b"sig-b")
+        assert cache.contains(b"a", b"sig-a")
+        assert cache.contains(b"c", b"sig-c")
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["hits"] == 3
         assert stats["misses"] == 1
+
+    def test_a_hit_needs_the_signature_that_verified(self):
+        cache = VerificationCache(max_entries=2)
+        cache.put(b"root", b"good")
+        assert not cache.contains(b"root", bytes(4))
+        assert cache.contains(b"root", b"good")
+        assert cache.stats()["misses"] == 1
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -168,6 +176,75 @@ class TestBatchAttestationOnByDefault:
         verifier.accept_claim_batch(sealed)
         assert verifier.public_key_ops == ops_before
         assert verifier.cache.hits == hits_before + 1
+
+
+class TestWarmCacheNeverVouchesForPayloads:
+    """A cached root skips only the RSA op, never the payload checks.
+
+    Forgeries reuse a root the verifier has already accepted, under an
+    all-zero signature: one with another batch's claims, one with an
+    inflated gateway record.
+    """
+
+    @staticmethod
+    def _warm():
+        core, _ = run_core(sessions=2, n=24)
+        verifier = make_verifier(core)
+        outputs = feed(core, verifier)
+        assert verifier.batches_rejected == 0
+        return verifier, outputs
+
+    @staticmethod
+    def _zero_signed(batch):
+        return dataclasses.replace(
+            batch, signature=bytes(len(batch.signature))
+        )
+
+    def test_verified_root_with_another_batchs_claims_is_rejected(self):
+        verifier, outputs = self._warm()
+        first, second = [p for k, p in outputs if k == "claim_batch"][:2]
+        forged = SealedClaimBatch(
+            cycle=first.cycle,
+            claims=second.claims,
+            batch=self._zero_signed(first.batch),
+        )
+        verified = verifier.claim_batches_verified
+        claims = verifier.claims_verified
+        assert not verifier.accept_claim_batch(forged).ok
+        assert verifier.batches_rejected == 1
+        assert verifier.claim_batches_verified == verified
+        assert verifier.claims_verified == claims
+
+    def test_verified_root_with_an_inflated_record_is_rejected(self):
+        verifier, outputs = self._warm()
+        sealed = next(p for k, p in outputs if k == "record_batch")
+        victim = sealed.records[0]
+        inflated = dataclasses.replace(
+            victim, downlink_bytes=victim.downlink_bytes + 10**6
+        )
+        forged = SealedRecordBatch(
+            records=(inflated,) + sealed.records[1:],
+            batch=self._zero_signed(sealed.batch),
+        )
+        sid = verifier._session_for_record(victim)
+        attested = verifier.session_status(sid)["records_attested"]
+        assert not verifier.accept_record_batch(forged).ok
+        assert verifier.batches_rejected == 1
+        # Nothing of a rejected batch is indexed for queries.
+        assert verifier.session_status(sid)["records_attested"] == attested
+
+    def test_verified_root_with_a_forged_signature_costs_an_rsa_op(self):
+        verifier, outputs = self._warm()
+        sealed = next(p for k, p in outputs if k == "claim_batch")
+        forged = dataclasses.replace(
+            sealed, batch=self._zero_signed(sealed.batch)
+        )
+        ops = verifier.public_key_ops
+        assert not verifier.accept_claim_batch(forged).ok
+        assert verifier.public_key_ops == ops + 1
+        # The genuine batch still verifies from the cache afterwards.
+        assert verifier.accept_claim_batch(sealed).ok
+        assert verifier.public_key_ops == ops + 1
 
 
 class TestQuerySurface:
